@@ -213,7 +213,7 @@ func BenchmarkEngineInstancing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := inst.Invoke("run", n); err != nil {
+			if _, err := inst.Call(context.Background(), "run", []uint64{n}); err != nil {
 				b.Fatal(err)
 			}
 			inst.Close()
@@ -222,12 +222,12 @@ func BenchmarkEngineInstancing(b *testing.B) {
 	b.Run("engine-pooled", func(b *testing.B) {
 		eng := NewEngine(cfg)
 		defer eng.Close()
-		if _, err := eng.Invoke(mod, "run", n); err != nil { // warm the pool
+		if _, err := eng.Call(context.Background(), mod, "run", []uint64{n}); err != nil { // warm the pool
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Invoke(mod, "run", n); err != nil {
+			if _, err := eng.Call(context.Background(), mod, "run", []uint64{n}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,8 +26,8 @@
 // cancellation ctx itself carries), WithStackDepth bounds recursion at
 // an exact frame count, WithValueStack bounds the execution arena in
 // words (both trap with TrapStackOverflow), and WithMemoryLimit caps
-// memory.grow. Invoke and InvokeF64 remain as deprecated wrappers over
-// Call with a background context.
+// memory.grow. The options fill in a CallSpec; Engine.CallWith takes a
+// CallSpec value directly and runs the same body without allocating.
 //
 // # Host modules
 //
@@ -83,11 +83,10 @@
 //	    }`)
 //	rt := cage.NewRuntime(cage.FullHardening())
 //	inst, err := rt.Instantiate(mod)
-//	res, err := inst.Invoke("sum", 100)
+//	res, err := inst.Call(context.Background(), "sum", []uint64{100})
 package cage
 
 import (
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -531,30 +530,6 @@ func (rt *Runtime) loweredProgram(m *Module, ecfg exec.Config) (*ir.Program, err
 
 // ProgramCacheStats snapshots the lowered-program cache counters.
 func (rt *Runtime) ProgramCacheStats() engine.CacheStats { return rt.programs.Stats() }
-
-// Invoke calls an exported function with raw 64-bit argument bits.
-//
-// Deprecated: use Call, which adds context cancellation, deadlines, and
-// per-call fuel/stack/memory bounds. Invoke delegates to Call with a
-// background context.
-func (i *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
-	res, err := i.Call(context.Background(), name, args)
-	if err != nil {
-		return nil, err
-	}
-	return res.Values, nil
-}
-
-// InvokeF64 calls an exported function returning a double.
-//
-// Deprecated: use Call and Result.F64.
-func (i *Instance) InvokeF64(name string, args ...uint64) (float64, error) {
-	res, err := i.Call(context.Background(), name, args)
-	if err != nil {
-		return 0, err
-	}
-	return res.F64(name)
-}
 
 // Memory exposes the guest linear memory.
 func (i *Instance) Memory() []byte { return i.inst.Memory() }

@@ -2,6 +2,7 @@ package cage
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -44,12 +45,12 @@ func TestToolchainAndRuntimeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: instantiate: %v", cfg, err)
 		}
-		res, err := inst.Invoke("sum", 100)
+		res, err := inst.Call(context.Background(), "sum", []uint64{100})
 		if err != nil {
 			t.Fatalf("%+v: sum: %v", cfg, err)
 		}
-		if res[0] != 4950 {
-			t.Errorf("%+v: sum = %d", cfg, res[0])
+		if res.Values[0] != 4950 {
+			t.Errorf("%+v: sum = %d", cfg, res.Values[0])
 		}
 	}
 }
@@ -64,7 +65,7 @@ func TestUAFTrapsOnlyWhenHardened(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = inst.Invoke("uaf")
+		_, err = inst.Call(context.Background(), "uaf", nil)
 		return err
 	}
 	if err := run(Baseline64()); err != nil {
@@ -100,12 +101,12 @@ func TestModuleBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := inst.Invoke("sum", 10)
+	res, err := inst.Call(context.Background(), "sum", []uint64{10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0] != 45 {
-		t.Errorf("round-tripped sum = %d", res[0])
+	if res.Values[0] != 45 {
+		t.Errorf("round-tripped sum = %d", res.Values[0])
 	}
 	if _, err := DecodeModule([]byte("junk")); err == nil {
 		t.Error("junk decoded")
@@ -125,7 +126,7 @@ func TestStdioRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Invoke("greet"); err != nil {
+	if _, err := inst.Call(context.Background(), "greet", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "hi from wasm") {
@@ -170,14 +171,14 @@ long use(long p) { return (long)__builtin_pointer_auth((char*)p); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed, err := i1.Invoke("make")
+	signed, err := i1.Call(context.Background(), "make", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := i1.Invoke("use", signed[0]); err != nil {
+	if _, err := i1.Call(context.Background(), "use", []uint64{signed.Values[0]}); err != nil {
 		t.Errorf("same-instance auth failed: %v", err)
 	}
-	if _, err := i2.Invoke("use", signed[0]); !IsAuthFailure(err) {
+	if _, err := i2.Call(context.Background(), "use", []uint64{signed.Values[0]}); !IsAuthFailure(err) {
 		t.Errorf("cross-instance reuse: got %v, want auth failure", err)
 	}
 }
@@ -192,7 +193,11 @@ func TestInvokeF64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := inst.InvokeF64("half", 7)
+	res, err := inst.Call(context.Background(), "half", []uint64{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := res.F64("half")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +229,11 @@ long f(long x) { return x * 2; }`)
 	}
 	// Every instance still works and still cannot escape.
 	for i, inst := range insts {
-		res, err := inst.Invoke("f", uint64(i))
-		if err != nil || res[0] != uint64(i*2) {
+		res, err := inst.Call(context.Background(), "f", []uint64{uint64(i)})
+		if err != nil || res.Values[0] != uint64(i*2) {
 			t.Fatalf("instance %d compute: %v", i, err)
 		}
-		if _, err := inst.Invoke("poke", 1<<30); err == nil {
+		if _, err := inst.Call(context.Background(), "poke", []uint64{1 << 30}); err == nil {
 			t.Fatalf("instance %d escaped its sandbox", i)
 		}
 	}

@@ -10,24 +10,13 @@ import (
 	"cage/internal/exec"
 )
 
-// CallOption bounds a single Call. Options compose freely:
+// CallOption bounds a single Call by setting fields of its CallSpec.
+// Options compose freely:
 //
 //	res, err := eng.Call(ctx, mod, "sum", []uint64{100},
 //	    cage.WithTimeout(50*time.Millisecond),
 //	    cage.WithFuel(1_000_000))
-type CallOption func(*callSettings)
-
-// callSettings is the resolved option set for one call.
-type callSettings struct {
-	fuel        uint64
-	stackDepth  int
-	stackWords  uint64
-	memPages    uint64
-	timeout     time.Duration
-	deadline    time.Time
-	hasDeadline bool
-	results     []uint64
-}
+type CallOption func(*CallSpec)
 
 // WithFuel caps the call at n fuel units. One fuel unit is one
 // timing-model event (the arch.Counter units the paper's cost model
@@ -36,20 +25,20 @@ type callSettings struct {
 // call traps with TrapFuelExhausted at the same guest instruction.
 // Zero leaves the call unmetered.
 func WithFuel(n uint64) CallOption {
-	return func(s *callSettings) { s.fuel = n }
+	return func(s *CallSpec) { s.Fuel = n }
 }
 
 // WithTimeout interrupts the call d after it starts (checkout queueing
 // included). It is WithDeadline relative to Call's entry; the earliest
 // of the context deadline, WithDeadline, and WithTimeout wins.
 func WithTimeout(d time.Duration) CallOption {
-	return func(s *callSettings) { s.timeout = d }
+	return func(s *CallSpec) { s.Timeout = d }
 }
 
 // WithDeadline interrupts the call at t. The earliest of the context
 // deadline, WithDeadline, and WithTimeout wins.
 func WithDeadline(t time.Time) CallOption {
-	return func(s *callSettings) { s.deadline = t; s.hasDeadline = true }
+	return func(s *CallSpec) { s.Deadline = t; s.HasDeadline = true }
 }
 
 // WithStackDepth overrides the engine's recursion bound (default 1024
@@ -58,7 +47,7 @@ func WithDeadline(t time.Time) CallOption {
 // — and the n+1'th frame traps with a deterministic TrapStackOverflow,
 // not a Go-recursion proxy.
 func WithStackDepth(n int) CallOption {
-	return func(s *callSettings) { s.stackDepth = n }
+	return func(s *CallSpec) { s.StackDepth = n }
 }
 
 // WithValueStack caps the call's value arena — the contiguous slots
@@ -67,7 +56,7 @@ func WithStackDepth(n int) CallOption {
 // the cap traps with TrapStackOverflow at an exact, deterministic
 // arena size, so guest recursion is bounded in bytes as well as frames.
 func WithValueStack(words uint64) CallOption {
-	return func(s *callSettings) { s.stackWords = words }
+	return func(s *CallSpec) { s.StackWords = words }
 }
 
 // WithMemoryLimit caps the guest memory size (in 64 KiB wasm pages)
@@ -75,26 +64,26 @@ func WithValueStack(words uint64) CallOption {
 // declared maximum. A grow past the cap fails with the architectural -1
 // result, exactly like exceeding the declared maximum.
 func WithMemoryLimit(pages uint64) CallOption {
-	return func(s *callSettings) { s.memPages = pages }
+	return func(s *CallSpec) { s.MemoryPages = pages }
 }
 
-// resolveCallSettings folds the options into one settings value.
-func resolveCallSettings(opts []CallOption) callSettings {
-	var s callSettings
+// specOf folds the options into one CallSpec.
+func specOf(opts []CallOption) CallSpec {
+	var s CallSpec
 	for _, o := range opts {
 		o(&s)
 	}
 	return s
 }
 
-// CallSpec is the allocation-free sibling of the CallOption list: a
-// plain value struct carrying the same per-call bounds. Where each
-// WithFuel/WithTimeout call allocates a closure, a CallSpec can live in
-// a request-scoped pool or a per-tenant policy and be passed by value —
-// Engine.CallWith with a zero-timeout spec and a non-cancellable ctx
-// stays off the heap entirely, which is what the serve hot path (and
-// its zero-alloc CI gate) runs on. The zero value means "no bounds",
-// like an empty option list.
+// CallSpec carries one call's bounds as a plain value: the CallOption
+// list resolves into one, and Engine.CallWith takes one directly. Where
+// each WithFuel/WithTimeout call allocates a closure, a CallSpec can
+// live in a request-scoped pool or a per-tenant policy and be passed by
+// value — Engine.CallWith with a zero-timeout spec and a
+// non-cancellable ctx stays off the heap entirely, which is what the
+// serve hot path (and its zero-alloc CI gate) runs on. The zero value
+// means "no bounds", like an empty option list.
 type CallSpec struct {
 	// Fuel caps the call in timing-model events; 0 leaves it unmetered.
 	Fuel uint64
@@ -117,46 +106,32 @@ type CallSpec struct {
 	Results []uint64
 }
 
-// settings converts the spec to the internal resolved form.
-func (c CallSpec) settings() callSettings {
-	return callSettings{
-		fuel:        c.Fuel,
-		stackDepth:  c.StackDepth,
-		stackWords:  c.StackWords,
-		memPages:    c.MemoryPages,
-		timeout:     c.Timeout,
-		deadline:    c.Deadline,
-		hasDeadline: c.HasDeadline,
-		results:     c.Results,
-	}
-}
-
 // context derives the effective call context: the caller's ctx bounded
-// by WithTimeout/WithDeadline. The returned cancel func must always be
-// called (it is a no-op when no option applied).
-func (s callSettings) context(ctx context.Context) (context.Context, context.CancelFunc) {
+// by Timeout/Deadline. The returned cancel func must always be called
+// (it is a no-op when neither is set).
+func (s *CallSpec) context(ctx context.Context) (context.Context, context.CancelFunc) {
 	cancel := context.CancelFunc(func() {})
-	if s.hasDeadline {
-		ctx, cancel = context.WithDeadline(ctx, s.deadline)
+	if s.HasDeadline {
+		ctx, cancel = context.WithDeadline(ctx, s.Deadline)
 	}
-	if s.timeout > 0 {
+	if s.Timeout > 0 {
 		prev := cancel
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
 		inner := cancel
 		cancel = func() { inner(); prev() }
 	}
 	return ctx, cancel
 }
 
-// execOptions translates the settings into the interpreter's per-call
+// execOptions translates the spec into the interpreter's per-call
 // bounds (the context travels separately).
-func (s callSettings) execOptions() exec.CallOptions {
+func (s *CallSpec) execOptions() exec.CallOptions {
 	return exec.CallOptions{
-		Fuel:             s.fuel,
-		MaxCallDepth:     s.stackDepth,
-		MaxStackWords:    s.stackWords,
-		MemoryLimitPages: s.memPages,
-		Results:          s.results,
+		Fuel:             s.Fuel,
+		MaxCallDepth:     s.StackDepth,
+		MaxStackWords:    s.StackWords,
+		MemoryLimitPages: s.MemoryPages,
+		Results:          s.Results,
 	}
 }
 
@@ -184,8 +159,7 @@ func (r Result) F64(fn string) (float64, error) {
 }
 
 // Call invokes an exported function on a pooled instance of m under ctx
-// and per-call bounds. It is the context-first replacement for Invoke
-// and is safe to call from many goroutines.
+// and per-call bounds. It is safe to call from many goroutines.
 //
 // ctx (tightened by WithTimeout/WithDeadline) governs the whole call:
 // a checkout queued on the live cap or the §7.4 sandbox-tag budget is
@@ -198,23 +172,17 @@ func (r Result) F64(fn string) (float64, error) {
 // With a background context and no options the interpreter runs its
 // unmetered fast path; the per-call machinery costs nothing.
 func (e *Engine) Call(ctx context.Context, m *Module, fn string, args []uint64, opts ...CallOption) (Result, error) {
-	return e.callSettings(ctx, m, fn, args, resolveCallSettings(opts))
+	return e.CallWith(ctx, m, fn, args, specOf(opts))
 }
 
 // CallWith is Call with the bounds passed as a CallSpec value instead
-// of an option list. Semantics are identical; the difference is purely
-// allocation: the whole checkout → invoke → checkin round trip is
-// heap-free when spec carries no timeout/deadline and ctx is not
-// cancellable, so a server can run millions of admitted requests per
-// GC cycle. This is the path cage-serve's invoke handler uses.
+// of an option list; Call resolves its options and runs this body. The
+// whole checkout → invoke → checkin round trip is heap-free when spec
+// carries no timeout/deadline and ctx is not cancellable, so a server
+// can run millions of admitted requests per GC cycle. This is the path
+// cage-serve's invoke handler uses.
 func (e *Engine) CallWith(ctx context.Context, m *Module, fn string, args []uint64, spec CallSpec) (Result, error) {
-	return e.callSettings(ctx, m, fn, args, spec.settings())
-}
-
-// callSettings runs the checkout → invoke → checkin round trip with
-// resolved settings, with no intermediate closures.
-func (e *Engine) callSettings(ctx context.Context, m *Module, fn string, args []uint64, s callSettings) (Result, error) {
-	ctx, cancel := s.context(ctx)
+	ctx, cancel := spec.context(ctx)
 	defer cancel()
 	p := e.pool(m)
 	r, err := p.GetContext(ctx)
@@ -223,23 +191,24 @@ func (e *Engine) callSettings(ctx context.Context, m *Module, fn string, args []
 	}
 	pi := r.(*pooledInstance)
 	defer pi.checkin()
-	return pi.i.callResolved(ctx, fn, args, s)
+	return pi.i.call(ctx, fn, args, &spec)
 }
 
 // Call invokes an exported function under ctx and per-call bounds. See
 // Engine.Call for the semantics; on a bare Runtime instance there is no
 // pool, so ctx only governs the invocation itself.
 func (i *Instance) Call(ctx context.Context, fn string, args []uint64, opts ...CallOption) (Result, error) {
-	s := resolveCallSettings(opts)
-	ctx, cancel := s.context(ctx)
+	spec := specOf(opts)
+	ctx, cancel := spec.context(ctx)
 	defer cancel()
-	return i.callResolved(ctx, fn, args, s)
+	return i.call(ctx, fn, args, &spec)
 }
 
-// callResolved runs the call with already-resolved settings (so
-// Engine.Call does not re-apply timeout options after the checkout).
-func (i *Instance) callResolved(ctx context.Context, fn string, args []uint64, s callSettings) (Result, error) {
-	cr, err := i.inst.InvokeWith(ctx, fn, args, s.execOptions())
+// call runs the invocation under a ctx that already carries spec's
+// timeout and deadline (so Engine.CallWith does not re-apply them after
+// the checkout).
+func (i *Instance) call(ctx context.Context, fn string, args []uint64, spec *CallSpec) (Result, error) {
+	cr, err := i.inst.InvokeWith(ctx, fn, args, spec.execOptions())
 	return Result{Values: cr.Values, Fuel: cr.Fuel, Events: cr.Events}, err
 }
 

@@ -216,8 +216,8 @@ func TestCallStackDepthOption(t *testing.T) {
 
 	_, err := eng.Call(context.Background(), mod, "rec", []uint64{100}, WithStackDepth(10))
 	var trap *exec.Trap
-	if !errors.As(err, &trap) || trap.Code != exec.TrapCallDepth {
-		t.Fatalf("rec(100) under WithStackDepth(10) = %v, want TrapCallDepth", err)
+	if !errors.As(err, &trap) || trap.Code != exec.TrapStackOverflow {
+		t.Fatalf("rec(100) under WithStackDepth(10) = %v, want TrapStackOverflow", err)
 	}
 
 	// The override must not stick to the pooled instance.
@@ -248,22 +248,6 @@ func TestConfigurationAfterFirstCallFails(t *testing.T) {
 	}
 	if err := eng.EnableExtendedSandboxes(); !errors.Is(err, ErrEngineStarted) {
 		t.Errorf("EnableExtendedSandboxes after Call = %v, want ErrEngineStarted", err)
-	}
-}
-
-// TestInvokeDelegatesToCall: the deprecated wrappers stay behaviorally
-// identical to the old API.
-func TestInvokeDelegatesToCall(t *testing.T) {
-	eng := NewEngine(FullHardening())
-	defer eng.Close()
-	mod := compileCallTest(t, eng)
-
-	res, err := eng.Invoke(mod, "work", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0] != 4950 {
-		t.Fatalf("Invoke(work, 100) = %v, want [4950]", res)
 	}
 }
 

@@ -12,12 +12,10 @@
 // With -addr it sweeps an already-running daemon instead, uploading
 // -source (or using -module) and labeling the points with -label.
 //
-// With -scaling it emits the "scaling" record instead: a same-binary
-// A/B of the serve hot path — the pre-scale-out configuration (mutexed
-// engine caches, condvar-only pool checkout, allocating handler)
-// against the sharded/lock-free/zero-alloc path — across GOMAXPROCS ×
-// concurrency, driven in-process so the serve path rather than loopback
-// TCP is what gets priced.
+// With -scaling it emits the "scaling" record instead: the serve hot
+// path (sharded caches, lock-free checkout, zero-alloc handler) across
+// GOMAXPROCS × concurrency, driven in-process so the serve path rather
+// than loopback TCP is what gets priced.
 //
 // Usage:
 //
@@ -51,7 +49,7 @@ func main() {
 	levels := flag.String("concurrency", "1,2,4,8,16,32", "comma-separated concurrency levels")
 	requests := flag.Int("requests", 50, "requests per client at each level")
 	quick := flag.Bool("quick", false, "CI smoke shape: small workload, few levels, few requests")
-	scaling := flag.Bool("scaling", false, "emit the multicore scale-out A/B (locked vs fast serve path) instead of the saturation sweep")
+	scaling := flag.Bool("scaling", false, "emit the in-process serve hot path across GOMAXPROCS × concurrency instead of the saturation sweep")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 

@@ -15,7 +15,6 @@
 //	           [-max-tenants n] [-max-upload-bytes n]
 //	           [-extended-sandboxes]
 //	           [-hardened-tenants a,b,c]
-//	           [-legacy-hot-path]
 //	           [-pprof addr] [-mutex-profile-fraction n] [-block-profile-rate n]
 //
 // The quota flags define the default tenant policy, applied to every
@@ -27,10 +26,7 @@
 // -pprof starts a side HTTP server (never the serving address) exposing
 // net/http/pprof; -mutex-profile-fraction and -block-profile-rate feed
 // the contention profiles that the multicore scale-out work is tuned
-// against. -legacy-hot-path routes invocations through the pre-scale-out
-// locked dispatch path — the same-binary A/B switch the scaling
-// benchmark uses — so a regression can be bisected in production without
-// rebuilding.
+// against.
 package main
 
 import (
@@ -64,7 +60,6 @@ func main() {
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "server-wide upload body cap in bytes (0 = default 64 MiB, negative = unlimited)")
 	extended := flag.Bool("extended-sandboxes", false, "lift the 15-sandbox budget via §6.4 tag reuse")
 	hardenedTenants := flag.String("hardened-tenants", "", "comma-separated tenants whose calls run on the Spectre-hardened engine")
-	legacyHotPath := flag.Bool("legacy-hot-path", false, "route invocations through the pre-scale-out locked dispatch path (A/B bisection aid)")
 	pprofAddr := flag.String("pprof", "", "listen address for a net/http/pprof side server (empty = disabled)")
 	mutexFraction := flag.Int("mutex-profile-fraction", 0, "sample 1/n of mutex contention events for /debug/pprof/mutex (0 = off)")
 	blockRate := flag.Int("block-profile-rate", 0, "sample blocking events >= n ns for /debug/pprof/block (0 = off)")
@@ -107,7 +102,6 @@ func main() {
 		MaxTenants:        *maxTenants,
 		MaxUploadBytes:    *maxUploadBytes,
 		ExtendedSandboxes: *extended,
-		LegacyHotPath:     *legacyHotPath,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cage-serve: %v\n", err)

@@ -178,11 +178,6 @@ func (p *pooledInstance) Reset(seed uint64) error {
 	// Fast path: fork from the registered snapshot — one restore helper
 	// (Instance.restoreFrom) shared with snapshot-based spawning, so
 	// the copy/COW image is the only initialization story.
-	if !engine.FastPaths() {
-		// Locked A/B mode prices the pre-elision restore: every checkin
-		// pays the full clear+copy even if the call wrote nothing.
-		p.i.inst.MarkMemoryDirty()
-	}
 	if s := p.eng.activeSnapshot(p.mod); s != nil {
 		if err := p.i.restoreFrom(s, seed); err == nil {
 			p.eng.snapshots.NoteRestore()
@@ -297,31 +292,6 @@ func (e *Engine) pool(m *Module) *engine.Pool {
 			}
 		}
 	})
-}
-
-// Invoke calls an exported function on a pooled instance of m with no
-// cancellation and no per-call bounds.
-//
-// Deprecated: use Call, which adds context cancellation, deadlines, and
-// per-call fuel/stack/memory bounds. Invoke delegates to Call with a
-// background context.
-func (e *Engine) Invoke(m *Module, fn string, args ...uint64) ([]uint64, error) {
-	res, err := e.Call(context.Background(), m, fn, args)
-	if err != nil {
-		return nil, err
-	}
-	return res.Values, nil
-}
-
-// InvokeF64 is Invoke for functions returning a double.
-//
-// Deprecated: use Call and Result.F64.
-func (e *Engine) InvokeF64(m *Module, fn string, args ...uint64) (float64, error) {
-	res, err := e.Call(context.Background(), m, fn, args)
-	if err != nil {
-		return 0, err
-	}
-	return res.F64(fn)
 }
 
 // WithInstance checks an instance of m out of the pool, runs f, and

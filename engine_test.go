@@ -1,6 +1,7 @@
 package cage
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -88,13 +89,13 @@ func TestEngineInvokeConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
-						res, err := eng.Invoke(mod, "sum", 100)
+						res, err := eng.Call(context.Background(), mod, "sum", []uint64{100})
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if res[0] != 4950 {
-							t.Errorf("sum = %d, want 4950", res[0])
+						if res.Values[0] != 4950 {
+							t.Errorf("sum = %d, want 4950", res.Values[0])
 						}
 					}
 				}()
@@ -122,16 +123,16 @@ func TestEngineTrapDoesNotPoisonNextInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Invoke(mod, "uaf"); !IsMemorySafetyViolation(err) {
+	if _, err := eng.Call(context.Background(), mod, "uaf", nil); !IsMemorySafetyViolation(err) {
 		t.Fatalf("uaf: got %v, want memory-safety violation", err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := eng.Invoke(mod, "sum", 100)
+		res, err := eng.Call(context.Background(), mod, "sum", []uint64{100})
 		if err != nil {
 			t.Fatalf("invoke %d after trap: %v", i, err)
 		}
-		if res[0] != 4950 {
-			t.Fatalf("invoke %d after trap: sum = %d, want 4950", i, res[0])
+		if res.Values[0] != 4950 {
+			t.Fatalf("invoke %d after trap: sum = %d, want 4950", i, res.Values[0])
 		}
 	}
 	if s := eng.Stats(); s.Pools.Spawned != 1 {
@@ -168,12 +169,12 @@ func TestEngineMultipleModulesShareTagBudget(t *testing.T) {
 		for _, c := range cases {
 			err := eng.WithInstance(c.mod, func(inst *Instance) error {
 				modifiers[inst.Raw().Keys().Modifier]++
-				res, err := inst.Invoke(c.fn)
+				res, err := inst.Call(context.Background(), c.fn, nil)
 				if err != nil {
 					return err
 				}
-				if res[0] != c.want {
-					t.Errorf("round %d %s = %d, want %d", i, c.fn, res[0], c.want)
+				if res.Values[0] != c.want {
+					t.Errorf("round %d %s = %d, want %d", i, c.fn, res.Values[0], c.want)
 				}
 				return nil
 			})
@@ -197,12 +198,12 @@ func TestEngineWithInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = eng.WithInstance(mod, func(inst *Instance) error {
-		res, err := inst.Invoke("sum", 10)
+		res, err := inst.Call(context.Background(), "sum", []uint64{10})
 		if err != nil {
 			return err
 		}
-		if res[0] != 45 {
-			t.Errorf("sum = %d, want 45", res[0])
+		if res.Values[0] != 45 {
+			t.Errorf("sum = %d, want 45", res.Values[0])
 		}
 		if inst.Allocator() == nil {
 			t.Error("pooled instance lacks allocator")

@@ -33,11 +33,11 @@ func ExampleToolchain_CompileSource() {
 		panic(err)
 	}
 	defer inst.Close()
-	res, err := inst.Invoke("sum", 100)
+	res, err := inst.Call(context.Background(), "sum", []uint64{100})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res[0])
+	fmt.Println(res.Values[0])
 	// Output: 4950
 }
 

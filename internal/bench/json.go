@@ -75,7 +75,7 @@ type JSONReport struct {
 	// profile-guided fused) per kernel and config; a compatible
 	// addition emitted by cage-bench -dispatch.
 	Dispatch *DispatchRecord `json:"dispatch,omitempty"`
-	// Scaling is the multicore scale-out A/B (locked vs fast serve path
+	// Scaling is the multicore scale-out record (the serve hot path
 	// across GOMAXPROCS × concurrency), emitted by cage-loadgen
 	// -scaling; a compatible addition.
 	Scaling *ScalingRecord `json:"scaling,omitempty"`

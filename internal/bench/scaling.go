@@ -4,19 +4,15 @@ package bench
 // measurement lives in internal/serve (serve.MeasureScaling) — it
 // drives the serve handler in-process (no network round-trip, so the
 // numbers price the serve/engine hot path itself rather than loopback
-// TCP) under two modes: "locked", the pre-scale-out path (mutex-guarded
-// engine caches, condvar-only pool checkout, the allocating legacy
-// request handler), and "fast", the sharded/lock-free/zero-alloc path.
-// The record is the PR's trajectory artifact: the fast path must pull
-// ahead as concurrency exceeds GOMAXPROCS, where lock convoys and
-// allocator pressure dominate the locked path.
+// TCP): sharded lock-free caches, Treiber-stack checkout, zero-alloc
+// handler. BENCH_scaling.json additionally carries a "locked" arm and a
+// fast÷locked speedup per cell, recorded at commit 5b0e00e against the
+// mutex-guarded caches, condvar-only pool, and allocating handler that
+// path replaced; that arm's code has since been removed, so new
+// records carry the one path only.
 
-// ScalingPoint is one (path, GOMAXPROCS, concurrency) measurement.
+// ScalingPoint is one (GOMAXPROCS, concurrency) measurement.
 type ScalingPoint struct {
-	// Path is "locked" (pre-PR semantics: mutexed caches, condvar pool,
-	// allocating handler) or "fast" (sharded caches, Treiber-stack
-	// checkout, zero-alloc handler).
-	Path string `json:"path"`
 	// GOMAXPROCS is the scheduler width the point ran under.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Concurrency is the number of in-flight client goroutines.
@@ -40,19 +36,15 @@ type ScalingPoint struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// ScalingRecord is the cage-bench JSON "scaling" record: same-binary
-// A/B of the locked and fast serve paths across GOMAXPROCS ×
-// concurrency.
+// ScalingRecord is the cage-loadgen JSON "scaling" record: the serve
+// hot path across GOMAXPROCS × concurrency.
 type ScalingRecord struct {
 	// Workload names the benchmark guest; N is its problem size.
 	Workload string `json:"workload"`
 	N        int    `json:"n"`
 	// RequestsPerClient is the per-concurrency-level request multiplier.
 	RequestsPerClient int `json:"requests_per_client"`
-	// Points holds every (path, gomaxprocs, concurrency) measurement in
+	// Points holds every (gomaxprocs, concurrency) measurement in
 	// sweep order.
 	Points []ScalingPoint `json:"points"`
-	// Speedup maps "g<gomaxprocs>/c<concurrency>" to fast÷locked
-	// throughput at that cell.
-	Speedup map[string]float64 `json:"speedup"`
 }

@@ -43,12 +43,6 @@ func benchCache(b *testing.B, parallel bool) {
 func BenchmarkCacheHit(b *testing.B)         { benchCache(b, false) }
 func BenchmarkCacheHitParallel(b *testing.B) { benchCache(b, true) }
 
-func BenchmarkCacheHitLegacy(b *testing.B) {
-	SetFastPaths(false)
-	defer SetFastPaths(true)
-	benchCache(b, false)
-}
-
 func benchPool(b *testing.B, parallel bool) {
 	p := NewPool(64, func(ctx context.Context) (Resetter, error) {
 		return benchInst{}, nil
@@ -90,12 +84,6 @@ func benchPool(b *testing.B, parallel bool) {
 
 func BenchmarkPoolGetPut(b *testing.B)         { benchPool(b, false) }
 func BenchmarkPoolGetPutParallel(b *testing.B) { benchPool(b, true) }
-
-func BenchmarkPoolGetPutLegacy(b *testing.B) {
-	SetFastPaths(false)
-	defer SetFastPaths(true)
-	benchPool(b, false)
-}
 
 // TestFastPathsZeroAlloc pins the lock-free fast paths at zero
 // allocations per operation (the benchmarks report it; this gates it).

@@ -67,9 +67,4 @@
 // Counters (hits, misses, spawns, recycles, discards, live, idle) are
 // plain atomics throughout, so Stats and StatsFor never touch a
 // hot-path mutex — a metrics scraper cannot stall a checkout.
-//
-// SetFastPaths(false) pins newly created caches and pools to the
-// pre-sharding single-mutex layout. That exists for one purpose:
-// same-binary A/B measurement of the fast paths (BENCH_scaling.json);
-// production embedders should never call it.
 package engine

@@ -180,8 +180,8 @@ func TestInvokeWithStackDepth(t *testing.T) {
 	}
 	_, err = inst.InvokeWith(context.Background(), "f", []uint64{100},
 		CallOptions{MaxCallDepth: 10})
-	if !IsTrap(err, TrapCallDepth) {
-		t.Fatalf("rec(100) under depth 10 = %v, want TrapCallDepth", err)
+	if !IsTrap(err, TrapStackOverflow) {
+		t.Fatalf("rec(100) under depth 10 = %v, want TrapStackOverflow", err)
 	}
 	// The override is per-call.
 	res, err := inst.InvokeWith(context.Background(), "f", []uint64{100}, CallOptions{})

@@ -355,7 +355,7 @@ func trapCases() []trapCase {
 		{
 			"call-depth",
 			trapModule(nil, []wasm.Instr{wasm.Call(0), wasm.Op(wasm.OpEnd)}, nil, 0),
-			core.Features{}, exec.TrapCallDepth,
+			core.Features{}, exec.TrapStackOverflow,
 		},
 		{
 			"null-indirect",

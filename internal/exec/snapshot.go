@@ -359,12 +359,6 @@ func (inst *Instance) RestoreFromSnapshot(s *Snapshot, seed uint64) error {
 	return nil
 }
 
-// MarkMemoryDirty discards the clean-memory witness, forcing the next
-// RestoreFromSnapshot to take the full clear+copy path. The scale-out
-// benchmark's locked mode uses it to price the pre-elision restore;
-// it is never needed for correctness.
-func (inst *Instance) MarkMemoryDirty() { inst.memDirty = true }
-
 // restoreTags restores the MTE tag state from s. cowTags, when non-nil,
 // is the tag region of a freshly mapped private view of the snapshot
 // image, which can be adopted without copying.

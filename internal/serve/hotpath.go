@@ -17,8 +17,8 @@ import (
 	"cage/internal/exec"
 )
 
-// The invoke hot path. The legacy handler (serve.go) allocates roughly
-// a dozen objects per request: the stdlib JSON decoder and its token
+// The invoke hot path. A straightforward handler allocates roughly a
+// dozen objects per request: the stdlib JSON decoder and its token
 // buffers, the InvokeRequest, the argument slice, one CallOption
 // closure per quota axis, the context watcher, the EventCounts map,
 // and the indenting encoder. Under multicore load those allocations
@@ -41,7 +41,7 @@ import (
 
 // invokeScratch is the pooled per-request state.
 type invokeScratch struct {
-	buf     []byte   // request body (≤ maxInvokeBody, truncated like the legacy LimitReader)
+	buf     []byte   // request body (≤ maxInvokeBody, truncated like the stdlib decoder's LimitReader)
 	out     []byte   // 200 response body under construction
 	args    []uint64 // parsed argument bits
 	results []uint64 // backing array handed to CallSpec.Results
@@ -74,7 +74,7 @@ func getScratch() *invokeScratch   { return scratchPool.Get().(*invokeScratch) }
 func putScratch(sc *invokeScratch) { scratchPool.Put(sc) }
 
 // readBody drains r into the scratch buffer, truncating at
-// maxInvokeBody exactly like the legacy path's io.LimitReader: the
+// maxInvokeBody exactly like decodeInvokeRequest's io.LimitReader: the
 // parser sees at most the first megabyte either way.
 func (sc *invokeScratch) readBody(r io.Reader) error {
 	sc.buf = sc.buf[:0]
@@ -203,8 +203,8 @@ func (p *invokeParser) lit(s string) bool {
 // handles exactly what the API documents — an object of the five known
 // fields in any order, plain strings, bare integers — and reports
 // false on anything else (escapes, floats, negatives, unknown fields,
-// malformed JSON, trailing data), so the stdlib fallback keeps error
-// semantics identical to the legacy decoder. FuzzServeRequest
+// malformed JSON, trailing data), so every body it refuses gets the
+// strict stdlib decoder's exact error semantics. FuzzServeRequest
 // cross-checks the two parsers on every fuzz input.
 func (sc *invokeScratch) parseInvokeFast() bool {
 	p := invokeParser{b: sc.buf}
@@ -319,10 +319,10 @@ func (sc *invokeScratch) setFromRequest(req *InvokeRequest) {
 	sc.timeoutMs = req.TimeoutMs
 }
 
-// appendInvokeResponse renders the 200 body — the compact form of the
-// legacy InvokeResponse encoding, same fields in the same order, with
-// the events object built by walking the arch event table (non-zero
-// entries only) instead of allocating a map.
+// appendInvokeResponse renders the 200 body — InvokeResponse as
+// compact JSON, fields in declaration order, with the events object
+// built by walking the arch event table (non-zero entries only)
+// instead of allocating a map.
 func appendInvokeResponse(dst []byte, values []uint64, fuel uint64, ev *arch.Counter) []byte {
 	dst = append(dst, `{"values":`...)
 	if values == nil {
@@ -364,12 +364,8 @@ func appendInvokeResponse(dst []byte, values []uint64, fuel uint64, ev *arch.Cou
 }
 
 // handleInvoke answers POST /v1/invoke: HTTP glue around the pooled
-// invoke core, or the legacy handler when the A/B knob asks for it.
+// invoke core.
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if s.opts.LegacyHotPath {
-		s.handleInvokeLegacy(w, r)
-		return
-	}
 	tn := s.tenantFor(r)
 	tn.m.stripe().requests.Add(1)
 	sc := getScratch()
@@ -396,8 +392,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 
 // invokePooled runs one invoke body (already in sc.buf) through
 // parse → lookup → admission → snapshot → call, leaving the outcome in
-// sc. Accounting matches handleInvokeLegacy decision for decision; the
-// admitted 200 path performs zero heap allocations.
+// sc. The admitted 200 path performs zero heap allocations.
 func (s *Server) invokePooled(ctx context.Context, tn *tenant, sc *invokeScratch) {
 	sc.status = 0
 	sc.apiErr = apiError{}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cage"
@@ -115,74 +117,94 @@ func BenchmarkServeRequest(b *testing.B) {
 	}
 }
 
-// TestHotPathMatchesLegacy runs the same request corpus against a hot
-// server and a LegacyHotPath server and requires identical status
-// codes and semantically identical JSON bodies — the A/B knob must be
-// a pure performance switch, never a behavior switch.
-func TestHotPathMatchesLegacy(t *testing.T) {
-	mk := func(legacy bool) (*httptest.Server, string) {
-		opts := Options{
-			Config:        cage.SandboxingOnly(),
-			ConfigName:    "sandbox",
-			DefaultQuota:  QuotaPolicy{Fuel: 1_000_000, MaxConcurrent: 4, MaxQueue: 4},
-			LegacyHotPath: legacy,
-		}
-		ts, _ := newTestServer(t, opts)
-		up := uploadSource(t, ts, "", guestSource)
-		return ts, up.Module
-	}
-	hot, hotMod := mk(false)
-	leg, legMod := mk(true)
-	if hotMod != legMod {
-		t.Fatalf("content addressing diverged: %q vs %q", hotMod, legMod)
-	}
+// invokeGolden pins POST /v1/invoke's answer to a corpus of well-formed,
+// failing, and malformed bodies: the status and body the allocate-per-
+// request stdlib handler gave before the pooled handler replaced it.
+// "{MOD}" stands for the registered guestSource module id, in request
+// and response alike.
+var invokeGolden = []struct {
+	status     int
+	body, want string
+}{
+	{200, `{"module":"{MOD}","function":"add","args":[3,4]}`,
+		`{"values":[7],"fuel":6,"events":{"alu":1,"branch":1,"local":4}}`},
+	{200, `{"module":"{MOD}","function":"add","args":[3,4],"fuel":100000}`,
+		`{"values":[7],"fuel":6,"events":{"alu":1,"branch":1,"local":4}}`},
+	{200, `  {  "function" : "add" , "module" : "{MOD}" , "args" : [ 1 , 2 ] }  `,
+		`{"values":[3],"fuel":6,"events":{"alu":1,"branch":1,"local":4}}`},
+	{422, `{"module":"{MOD}","function":"crash","args":[5]}`,
+		`{"error":{"code":"guest_trap","message":"wasm trap: integer divide by zero: i64.div_s","trap":"integer divide by zero"}}`},
+	{422, `{"module":"{MOD}","function":"spin","args":[0],"fuel":10000}`,
+		`{"error":{"code":"guest_trap","message":"wasm trap: fuel exhausted: budget 10000 events","trap":"fuel exhausted"}}`},
+	{422, `{"module":"{MOD}","function":"add","args":[3]}`,
+		`{"error":{"code":"bad_arity","message":"add takes 2 arguments, got 1"}}`},
+	{404, `{"module":"{MOD}","function":"nope","args":[]}`,
+		`{"error":{"code":"function_not_found","message":"module \"{MOD}\" exports no function \"nope\""}}`},
+	{422, `{"module":"{MOD}","function":"add","args":null}`,
+		`{"error":{"code":"bad_arity","message":"add takes 2 arguments, got 0"}}`},
+	{400, `{"module":"{MOD}","function":"add","argz":[1,2]}`,
+		`{"error":{"code":"bad_request","message":"json: unknown field \"argz\""}}`},
+	{400, `{"module":"{MOD}","function":"add","args":[1.5,2]}`,
+		`{"error":{"code":"bad_request","message":"json: cannot unmarshal number 1.5 into Go struct field InvokeRequest.args of type uint64"}}`},
+	{400, `{"module":"{MOD}","function":"add","args":[-1,2]}`,
+		`{"error":{"code":"bad_request","message":"json: cannot unmarshal number -1 into Go struct field InvokeRequest.args of type uint64"}}`},
+	{400, `{"module":"{MOD}","function":"add","args":[01,2]}`,
+		`{"error":{"code":"bad_request","message":"invalid character '1' after array element"}}`},
+	{400, `{"module":"{MOD}","function":"add"}{"x":1}`,
+		`{"error":{"code":"bad_request","message":"trailing data after request object"}}`},
+	{400, `{"module":"{MOD}","function":"add","timeout_ms":-5}`,
+		`{"error":{"code":"bad_request","message":"negative timeout_ms"}}`},
+	{404, `{"module":"sha256:x","function":"add","args":[]}`,
+		`{"error":{"code":"module_not_found","message":"no module \"sha256:x\" is registered"}}`},
+	{404, `{"module":"sha256:feed","function":"add","args":[1,2]}`,
+		`{"error":{"code":"module_not_found","message":"no module \"sha256:feed\" is registered"}}`},
+	{400, `{"module":"","function":""}`,
+		`{"error":{"code":"bad_request","message":"missing field \"module\""}}`},
+	{400, `{"function":"add"}`,
+		`{"error":{"code":"bad_request","message":"missing field \"module\""}}`},
+	{400, `{}`,
+		`{"error":{"code":"bad_request","message":"missing field \"module\""}}`},
+	{400, `{`,
+		`{"error":{"code":"bad_request","message":"unexpected EOF"}}`},
+	{400, ``,
+		`{"error":{"code":"bad_request","message":"EOF"}}`},
+	{400, `[]`,
+		`{"error":{"code":"bad_request","message":"json: cannot unmarshal array into Go value of type serve.InvokeRequest"}}`},
+	{404, `{"module":"m","function":"f","args":[18446744073709551615]}`,
+		`{"error":{"code":"module_not_found","message":"no module \"m\" is registered"}}`},
+	{400, `{"module":"m","function":"f","args":[18446744073709551616]}`,
+		`{"error":{"code":"bad_request","message":"json: cannot unmarshal number 18446744073709551616 into Go struct field InvokeRequest.args of type uint64"}}`},
+}
 
-	bodies := []string{
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4]}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3,4],"fuel":100000}`, hotMod),
-		fmt.Sprintf(`  {  "function" : "add" , "module" : %q , "args" : [ 1 , 2 ] }  `, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"crash","args":[5]}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"spin","args":[0],"fuel":10000}`, hotMod),
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[3]}`, hotMod),      // bad arity
-		fmt.Sprintf(`{"module":%q,"function":"nope","args":[]}`, hotMod),      // unknown function
-		fmt.Sprintf(`{"module":%q,"function":"add","args":null}`, hotMod),     // null args
-		fmt.Sprintf(`{"module":%q,"function":"add","argz":[1,2]}`, hotMod),    // unknown field
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[1.5,2]}`, hotMod),  // float arg
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[-1,2]}`, hotMod),   // negative arg
-		fmt.Sprintf(`{"module":%q,"function":"add","args":[01,2]}`, hotMod),   // leading zero
-		fmt.Sprintf(`{"module":%q,"function":"add"}{"x":1}`, hotMod),          // trailing data
-		fmt.Sprintf(`{"module":%q,"function":"add","timeout_ms":-5}`, hotMod), // negative timeout
-		`{"module":"sha256:x","function":"add","args":[]}`,                    // escaped string
-		`{"module":"sha256:feed","function":"add","args":[1,2]}`,              // unknown module
-		`{"module":"","function":""}`,
-		`{"function":"add"}`,
-		`{}`,
-		`{`,
-		``,
-		`[]`,
-		`{"module":"m","function":"f","args":[18446744073709551615]}`,
-		`{"module":"m","function":"f","args":[18446744073709551616]}`, // uint64 overflow
-	}
-
-	for i, body := range bodies {
-		var hotRaw, legRaw json.RawMessage
-		hotResp := postJSON(t, hot, "/v1/invoke", "ab", []byte(body), &hotRaw)
-		legResp := postJSON(t, leg, "/v1/invoke", "ab", []byte(body), &legRaw)
-		if hotResp.StatusCode != legResp.StatusCode {
-			t.Errorf("body %d %q: hot status %d, legacy %d", i, body, hotResp.StatusCode, legResp.StatusCode)
+// TestInvokeGolden replays invokeGolden and requires each status and a
+// semantically identical JSON body. Bodies are compared decoded, not as
+// bytes: the stdlib handler sorted the "events" keys, while the pooled
+// handler writes them in arch event order.
+func TestInvokeGolden(t *testing.T) {
+	ts, _ := newTestServer(t, Options{
+		Config:       cage.SandboxingOnly(),
+		ConfigName:   "sandbox",
+		DefaultQuota: QuotaPolicy{Fuel: 1_000_000, MaxConcurrent: 4, MaxQueue: 4},
+	})
+	mod := uploadSource(t, ts, "", guestSource).Module
+	for i, g := range invokeGolden {
+		body := strings.ReplaceAll(g.body, "{MOD}", mod)
+		var raw json.RawMessage
+		resp := postJSON(t, ts, "/v1/invoke", "golden", []byte(body), &raw)
+		if resp.StatusCode != g.status {
+			t.Errorf("body %d %q: status %d, want %d", i, body, resp.StatusCode, g.status)
 			continue
 		}
-		var hv, lv any
-		if err := json.Unmarshal(hotRaw, &hv); err != nil {
-			t.Errorf("body %d: hot response not JSON: %v", i, err)
+		var got, want any
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Errorf("body %d: response %s is not JSON: %v", i, raw, err)
 			continue
 		}
-		if err := json.Unmarshal(legRaw, &lv); err != nil {
-			t.Errorf("body %d: legacy response not JSON: %v", i, err)
-			continue
+		if err := json.Unmarshal([]byte(strings.ReplaceAll(g.want, "{MOD}", mod)), &want); err != nil {
+			t.Fatalf("body %d: golden %s is not JSON: %v", i, g.want, err)
 		}
-		if fmt.Sprintf("%v", hv) != fmt.Sprintf("%v", lv) {
-			t.Errorf("body %d %q: hot %s, legacy %s", i, body, hotRaw, legRaw)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("body %d %q: got %s, want %s", i, body, raw, g.want)
 		}
 	}
 }

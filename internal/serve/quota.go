@@ -10,7 +10,7 @@ import (
 )
 
 // QuotaPolicy bounds one tenant. Per-call fields are ceilings mapped
-// onto the engine's CallOptions — a request may ask for less, never
+// onto the engine's CallSpec — a request may ask for less, never
 // more; zero means "no bound on this axis". Admission fields bound the
 // tenant's presented load; registry fields bound its uploads.
 type QuotaPolicy struct {
@@ -54,37 +54,10 @@ type QuotaPolicy struct {
 	SpectreHardened bool
 }
 
-// callOptions folds the policy's per-call ceilings with the request's
-// asks: the effective bound on each axis is the smaller of the two
-// (an ask of 0 inherits the ceiling).
-func (q QuotaPolicy) callOptions(askFuel uint64, askTimeout time.Duration) []cage.CallOption {
-	var opts []cage.CallOption
-	fuel := askFuel
-	if q.Fuel > 0 && (fuel == 0 || fuel > q.Fuel) {
-		fuel = q.Fuel
-	}
-	if fuel > 0 {
-		opts = append(opts, cage.WithFuel(fuel))
-	}
-	if timeout := q.effectiveTimeout(askTimeout); timeout > 0 {
-		opts = append(opts, cage.WithTimeout(timeout))
-	}
-	if q.MemoryPages > 0 {
-		opts = append(opts, cage.WithMemoryLimit(q.MemoryPages))
-	}
-	if q.StackDepth > 0 {
-		opts = append(opts, cage.WithStackDepth(q.StackDepth))
-	}
-	if q.StackWords > 0 {
-		opts = append(opts, cage.WithValueStack(q.StackWords))
-	}
-	return opts
-}
-
 // effectiveTimeout folds the request's wall-clock ask with the
 // policy's ceiling: the smaller of the two wins, and an ask of 0
-// inherits the ceiling. This is the bound callOptions enforces, and
-// the one a 408 must report.
+// inherits the ceiling. This is the bound tenant.callSpec enforces,
+// and the one a 408 must report.
 func (q QuotaPolicy) effectiveTimeout(ask time.Duration) time.Duration {
 	timeout := ask
 	if q.Timeout > 0 && (timeout <= 0 || timeout > q.Timeout) {
@@ -117,8 +90,7 @@ type tenant struct {
 
 	// spec carries the policy's per-call ceilings as a precomputed
 	// cage.CallSpec; callSpec folds a request's asks into a copy without
-	// touching the heap, which is why the hot path can skip the
-	// CallOption closures entirely.
+	// touching the heap.
 	spec cage.CallSpec
 
 	// sem is the admission semaphore (nil when MaxConcurrent == 0);
@@ -150,9 +122,11 @@ func newTenant(name string, policy QuotaPolicy) *tenant {
 	return t
 }
 
-// callSpec folds the policy's precomputed spec with one request's asks
-// — the same smaller-wins rule callOptions applies, without the option
-// closures. The returned value is heap-free; the caller sets Results.
+// callSpec folds the policy's precomputed spec with one request's
+// asks: the effective bound on each axis is the smaller of the two (an
+// ask of 0 inherits the ceiling). It is the one place policy and asks
+// meet — invocations and ?init= snapshot builds both run under it. The
+// returned value is heap-free; the caller sets Results.
 func (t *tenant) callSpec(askFuel uint64, askTimeout time.Duration) cage.CallSpec {
 	s := t.spec
 	if askFuel > 0 && (s.Fuel == 0 || askFuel < s.Fuel) {

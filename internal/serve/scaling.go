@@ -14,29 +14,23 @@ import (
 
 	"cage"
 	"cage/internal/bench"
-	"cage/internal/engine"
 )
 
-// Scaling benchmark: same-binary A/B of the serve hot path. Unlike the
-// saturation sweep, the handler is driven in-process — no listener, no
-// TCP round-trip — because the thing under test is the serve/engine
-// path itself (parse, lookup, admission, checkout, call, encode), and a
-// loopback RTT of tens of microseconds would flatten any difference
-// between the two paths. The "locked" mode reconstructs the pre-scale-
-// out code: engine.SetFastPaths(false) routes the compiled-program
-// caches through their single mutex and the instance pool through its
-// condvar queue, and Options.LegacyHotPath selects the allocate-per-
-// request handler. The "fast" mode is the shipped default: sharded
-// lock-free caches, Treiber-stack checkout, zero-alloc handler.
+// Scaling benchmark: the serve hot path across GOMAXPROCS ×
+// concurrency. Unlike the saturation sweep, the handler is driven
+// in-process — no listener, no TCP round-trip — because the thing under
+// test is the serve/engine path itself (parse, lookup, admission,
+// checkout, call, encode), and a loopback RTT of tens of microseconds
+// would flatten it.
 
 // scalingSource is the benchmark guest: a call-overhead microworkload.
 // The guest body is deliberately trivial so the serve path, not guest
 // execution, dominates each request.
 const scalingSource = `long add(long a, long b) { return a + b; }`
 
-// MeasureScaling runs the locked/fast A/B across GOMAXPROCS ×
-// concurrency and reports throughput, latency percentiles, mutex-wait
-// and allocation deltas per point. quick selects the CI smoke shape.
+// MeasureScaling sweeps GOMAXPROCS × concurrency and reports
+// throughput, latency percentiles, mutex-wait and allocation deltas per
+// point. quick selects the CI smoke shape.
 func MeasureScaling(quick bool) (*bench.ScalingRecord, error) {
 	gms := []int{1, 2, 4}
 	perClient := 300
@@ -46,60 +40,32 @@ func MeasureScaling(quick bool) (*bench.ScalingRecord, error) {
 	}
 	rec := &bench.ScalingRecord{Workload: "add", N: 2, RequestsPerClient: perClient}
 
-	prevMode := engine.FastPaths()
-	defer engine.SetFastPaths(prevMode)
 	prevProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prevProcs)
 
-	for _, path := range []string{"locked", "fast"} {
-		// Engines capture the mode at creation, so it must be latched
-		// before New.
-		engine.SetFastPaths(path == "fast")
-		cfg, err := cage.ConfigByName("sandbox")
-		if err != nil {
-			return nil, err
-		}
-		srv, err := New(Options{
-			Config:        cfg,
-			ConfigName:    "sandbox",
-			LegacyHotPath: path == "locked",
-		})
-		if err != nil {
-			return nil, err
-		}
-		body, err := scalingWorkload(srv)
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		for _, g := range gms {
-			runtime.GOMAXPROCS(g)
-			for _, conc := range scalingLevels(g, quick) {
-				p := driveScalingPoint(srv, body, conc, perClient)
-				p.Path, p.GOMAXPROCS = path, g
-				rec.Points = append(rec.Points, p)
-			}
-		}
-		runtime.GOMAXPROCS(prevProcs)
-		srv.Close()
+	cfg, err := cage.ConfigByName("sandbox")
+	if err != nil {
+		return nil, err
 	}
-
-	locked := make(map[string]float64)
-	for _, p := range rec.Points {
-		if p.Path == "locked" {
-			locked[scalingKey(p.GOMAXPROCS, p.Concurrency)] = p.ThroughputRPS
-		}
+	srv, err := New(Options{Config: cfg, ConfigName: "sandbox"})
+	if err != nil {
+		return nil, err
 	}
-	rec.Speedup = make(map[string]float64)
-	for _, p := range rec.Points {
-		if k := scalingKey(p.GOMAXPROCS, p.Concurrency); p.Path == "fast" && locked[k] > 0 {
-			rec.Speedup[k] = p.ThroughputRPS / locked[k]
+	defer srv.Close()
+	body, err := scalingWorkload(srv)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range gms {
+		runtime.GOMAXPROCS(g)
+		for _, conc := range scalingLevels(g, quick) {
+			p := driveScalingPoint(srv, body, conc, perClient)
+			p.GOMAXPROCS = g
+			rec.Points = append(rec.Points, p)
 		}
 	}
 	return rec, nil
 }
-
-func scalingKey(g, conc int) string { return fmt.Sprintf("g%d/c%d", g, conc) }
 
 // scalingLevels picks the concurrency sweep for one GOMAXPROCS width:
 // under-subscribed, matched, and the 2× / 4× over-subscription where

@@ -155,3 +155,42 @@ func TestInitUploadValidation(t *testing.T) {
 		t.Errorf("re-upload: status %d cached %t init %q, want (200, true, setup)", resp.StatusCode, again.Cached, again.Init)
 	}
 }
+
+// TestInitTrapUnderFuelCap: an ?init= function runs under its
+// triggering tenant's call policy, so a spinning init uploaded by a
+// tenant with a Fuel cap traps at snapshot time — the invoke answers
+// 422 init_trap naming the fuel trap — instead of pinning the engine.
+// The failed build leaves nothing behind: the tenant's next invoke of
+// another module is served normally.
+func TestInitTrapUnderFuelCap(t *testing.T) {
+	ts, _ := newTestServer(t, Options{
+		Config:     cage.FullHardening(),
+		ConfigName: "full",
+		Tenants:    map[string]QuotaPolicy{"mallory": {Fuel: 100_000}},
+	})
+
+	const spinInit = `
+long spin_init() {
+    long n = 0;
+    while (1) { n = n + 1; }
+    return n;
+}
+
+long get(long x) { return x; }
+`
+	var up UploadResponse
+	if resp := postJSON(t, ts, "/v1/modules?init=spin_init", "mallory", []byte(spinInit), &up); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload with spinning init: status %d", resp.StatusCode)
+	}
+	r, _, eb := invoke(t, ts, "mallory", InvokeRequest{Module: up.Module, Function: "get", Args: []uint64{1}})
+	if r.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "init_trap" || eb.Error.Trap != "fuel exhausted" {
+		t.Fatalf("invoke behind spinning init: got (%d, %q, trap %q), want (422, init_trap, trap %q)",
+			r.StatusCode, eb.Error.Code, eb.Error.Trap, "fuel exhausted")
+	}
+
+	other := uploadSource(t, ts, "mallory", guestSource)
+	r, res, eb := invoke(t, ts, "mallory", InvokeRequest{Module: other.Module, Function: "add", Args: []uint64{3, 4}})
+	if r.StatusCode != http.StatusOK || len(res.Values) != 1 || res.Values[0] != 7 {
+		t.Fatalf("invoke of another module after init_trap: status %d values %v (%+v)", r.StatusCode, res.Values, eb.Error)
+	}
+}
